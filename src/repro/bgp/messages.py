@@ -38,21 +38,6 @@ class Message:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # The immutability guard (__setattr__ raises) breaks default pickling
-    # of slotted instances; state is restored through object.__setattr__,
-    # mirroring the attribute classes' __reduce__ approach.  Cross-shard
-    # delivery serialises messages through this path.
-    def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for klass in type(self).__mro__
-            for name in getattr(klass, "__slots__", ())
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
 
 class OpenMessage(Message):
     """Session establishment: advertises the sender's ASN and hold time."""

@@ -12,7 +12,8 @@ JSON):
 
 Caching: every data response carries the manifest ETag
 (``"<generation>-<digest>"``); a request presenting it via
-``If-None-Match`` gets ``304 Not Modified`` with no body.  Each request
+``If-None-Match`` gets ``304 Not Modified`` with no body, and the
+answer it would have carried is never computed.  Each request
 first runs :meth:`~repro.query.reader.QueryIndex.reload_if_changed`
 under the server's lock, so a server pointed at a live stream's index
 directory serves fresh boundaries without restarting — the atomic
@@ -26,8 +27,9 @@ arrival is the only clock, and answer content depends only on the index.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -73,48 +75,22 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
         params = parse_qs(split.query)
         try:
             with self.server.lock:
-                self.server.index.reload_if_changed()
-                etag = self.server.index.etag
-                if split.path == "/healthz":
-                    doc: Any = {
-                        "status": "ok",
-                        "generation": self.server.index.generation,
-                        "records": self.server.index.records,
-                    }
-                elif split.path == "/v1/stats":
-                    doc = self.server.index.stats()
-                elif split.path == "/v1/prefix":
-                    values = params.get("p")
-                    if not values:
-                        raise _BadRequest("missing required parameter 'p'")
-                    doc = self.server.index.prefix(values[0])
-                elif split.path == "/v1/top":
-                    k = _int_param(params, "k", 10)
-                    by = params.get("by", ["alarms"])[0]
-                    if by not in TOP_KEYS:
-                        raise _BadRequest(
-                            f"unknown ranking key {by!r}; expected one of "
-                            f"{', '.join(TOP_KEYS)}"
-                        )
-                    doc = self.server.index.top(k, by)
-                elif split.path == "/v1/daily":
-                    kind = params.get("kind", ["alarms"])[0]
-                    if kind not in ("alarms", "moas"):
-                        raise _BadRequest(
-                            f"unknown daily series {kind!r}; expected "
-                            f"alarms|moas"
-                        )
-                    doc = self.server.index.daily(kind)
-                else:
+                index = self.server.index
+                index.reload_if_changed()
+                etag = index.etag
+                answer = _route(index, split.path, params)
+                if answer is None:
                     self._send_error(404, f"no such endpoint: {split.path}")
                     return
+                not_modified = self.headers.get("If-None-Match") == etag
+                doc = None if not_modified else answer()
         except _BadRequest as exc:
             self._send_error(400, str(exc))
             return
         except ValueError as exc:  # includes QueryError from a torn reload
             self._send_error(500, str(exc))
             return
-        if self.headers.get("If-None-Match") == etag:
+        if not_modified:
             if self.server.m_not_modified is not None:
                 self.server.m_not_modified.inc()
             self.send_response(304)
@@ -141,6 +117,47 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
 
 class _BadRequest(Exception):
     """A client error the handler turns into a 400 JSON body."""
+
+
+def _route(
+    index: QueryIndex, path: str, params: Dict[str, Any]
+) -> Optional[Callable[[], Any]]:
+    """Validate one request; return the call that computes its answer.
+
+    None means no such endpoint, and a bad parameter raises
+    :class:`_BadRequest`.  Nothing is computed here, so a request whose
+    ``If-None-Match`` matches is answered 304 without any answer work.
+    """
+    if path == "/healthz":
+        return lambda: {
+            "status": "ok",
+            "generation": index.generation,
+            "records": index.records,
+        }
+    if path == "/v1/stats":
+        return index.stats
+    if path == "/v1/prefix":
+        values = params.get("p")
+        if not values:
+            raise _BadRequest("missing required parameter 'p'")
+        return partial(index.prefix, values[0])
+    if path == "/v1/top":
+        k = _int_param(params, "k", 10)
+        by = params.get("by", ["alarms"])[0]
+        if by not in TOP_KEYS:
+            raise _BadRequest(
+                f"unknown ranking key {by!r}; expected one of "
+                f"{', '.join(TOP_KEYS)}"
+            )
+        return partial(index.top, k, by)
+    if path == "/v1/daily":
+        kind = params.get("kind", ["alarms"])[0]
+        if kind not in ("alarms", "moas"):
+            raise _BadRequest(
+                f"unknown daily series {kind!r}; expected alarms|moas"
+            )
+        return partial(index.daily, kind)
+    return None
 
 
 def _int_param(params: Dict[str, Any], key: str, default: int) -> int:

@@ -115,16 +115,30 @@ class TestEndpoints:
 
     def test_error_statuses(self, server):
         base, _, _ = server
-        assert get(base, "/nope")[0] == 404
-        assert get(base, "/v1/prefix")[0] == 400  # missing ?p=
-        assert get(base, "/v1/top?by=bogus")[0] == 400
-        assert get(base, "/v1/top?k=0")[0] == 400
-        assert get(base, "/v1/daily?kind=bogus")[0] == 400
+        etag = get(base, "/v1/stats")[1]["ETag"]
+        # A bad request is refused even when it presents the current ETag:
+        # validation comes before the conditional check, never a 304.
+        for headers in ({}, {"If-None-Match": etag}):
+            assert get(base, "/nope", headers)[0] == 404
+            assert get(base, "/v1/prefix", headers)[0] == 400  # missing ?p=
+            assert get(base, "/v1/top?by=bogus", headers)[0] == 400
+            assert get(base, "/v1/top?k=0", headers)[0] == 400
+            assert get(base, "/v1/top?k=x", headers)[0] == 400
+            assert get(base, "/v1/daily?kind=bogus", headers)[0] == 400
 
     def test_etag_round_trip(self, server):
-        base, _, metrics = server
+        base, httpd, metrics = server
+        answered = []
+        stats = httpd.index.stats
+
+        def counted_stats():
+            answered.append(1)
+            return stats()
+
+        httpd.index.stats = counted_stats
         status, headers, _ = get(base, "/v1/stats")
         assert status == 200
+        assert len(answered) == 1
         etag = headers["ETag"]
         status, headers, body = get(
             base, "/v1/stats", headers={"If-None-Match": etag}
@@ -132,6 +146,7 @@ class TestEndpoints:
         assert status == 304
         assert body == b""
         assert headers["ETag"] == etag
+        assert len(answered) == 1  # the 304 computed no answer
         snapshot = metrics.snapshot()
         assert snapshot["query.requests"] >= 2
         assert snapshot["query.not_modified"] == 1
