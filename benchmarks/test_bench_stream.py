@@ -14,7 +14,7 @@ Four measurements back the online detector's viability:
 3. **Legacy full-snapshot cost**: the identical cadence with
    ``full_every=1`` — every boundary a full snapshot, the pre-chain
    behaviour — to keep the win visible (it used to cost ~60%).
-4. **Sharded aggregate**: the 4-shard :class:`FeedRouter` over the same
+4. **Sharded aggregate**: ``StreamService`` with ``shards=4`` over the same
    feed.  The aggregate rate is recorded unconditionally; the ≥3× scaling
    assertion only runs on boxes with ≥4 cores (the CI container is
    single-core, where sharding can only add IPC cost).
@@ -33,7 +33,6 @@ from conftest import emit
 
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.stream.feed import FeedWriter, snapshot_deltas
-from repro.stream.router import FeedRouter
 from repro.stream.service import StreamService
 
 #: A 120-day paper-calibrated segment with one fault spike; refresh mode
@@ -72,7 +71,7 @@ def _run_service(feed, out_dir, tag, checkpoint_every=None, full_every=32):
 
 
 def _run_router(feed, out_dir, tag, shards):
-    router = FeedRouter(
+    router = StreamService(
         [feed],
         out_dir / f"alarms_{tag}.jsonl",
         out_dir / f"cp_{tag}.json",

@@ -441,37 +441,18 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
     from repro.obs.manifest import ManifestWriter
     from repro.obs.metrics import MetricsRegistry
     from repro.stream.checkpoint import CheckpointError
-    from repro.stream.router import FeedRouter
     from repro.stream.service import StreamService
 
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
-    sharded = args.shards > 1 or len(args.feed) > 1
-    if sharded and args.follow:
-        print("--follow is not supported with sharded routing", file=sys.stderr)
-        return 2
     metrics = MetricsRegistry()
-    service: Any
-    if sharded:
-        service = FeedRouter(
+    try:
+        service = StreamService(
             args.feed,
             args.alarms,
             args.checkpoint,
             shards=args.shards,
-            window=args.window,
-            checkpoint_every=args.checkpoint_every,
-            full_every=args.full_every,
-            throttle=args.throttle,
-            max_records=args.max_records,
-            metrics=metrics,
-            index=args.index,
-        )
-    else:
-        service = StreamService(
-            args.feed[0],
-            args.alarms,
-            args.checkpoint,
             window=args.window,
             batch_size=args.batch,
             checkpoint_every=args.checkpoint_every,
@@ -483,6 +464,9 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
             metrics=metrics,
             index=args.index,
         )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     service.install_signal_handlers()
     try:
         summary = service.run(resume=args.resume)
@@ -525,7 +509,7 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
         f"records/sec)"
     )
     if summary.stopped:
-        print("stopped on request; resume with --resume to continue")
+        print("stopped before EOF; resume with --resume to continue")
     if args.index:
         print(f"query index maintained in {args.index}")
     return 0

@@ -229,14 +229,16 @@ def replay_router_range(
     tracker: OriginTracker,
     out: List[IndexEvent],
 ) -> int:
-    """Replay N vantage feeds the way :class:`~repro.stream.router.FeedRouter`
-    consumes them: each feed up to its next tick (in feed order), then one
-    fleet-wide tick when the live feeds agree on the day.
+    """Replay N vantage feeds the way a sharded
+    :class:`~repro.stream.service.StreamService` consumes them (through
+    :class:`~repro.stream.router.ShardedSource`): each feed up to its next
+    tick (in feed order), then one fleet-wide tick when the live feeds
+    agree on the day.
 
     Per-prefix event order matches the sharded run because a prefix lives
     in exactly one shard and a shard applies its lines in parent read
     order — which is this order.  Returns records applied (routed lines
-    plus one per fleet tick), matching the router's accounting.
+    plus one per fleet tick), matching the sharded source's accounting.
     """
     if len(paths) != len(starts) or (ends is not None and len(ends) != len(paths)):
         raise QueryError(

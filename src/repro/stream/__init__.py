@@ -11,11 +11,12 @@ answers "what is happening right now".  It consists of:
   incremental checkpoints;
 * :mod:`repro.stream.checkpoint` — versioned checkpoint chains: atomic
   full snapshots plus fsynced delta appends with periodic compaction;
-* :mod:`repro.stream.service` — the tailing loop with transactional alarm
-  flushing, async double-buffered checkpointing, kill-and-resume
-  bit-identity, metrics and manifests;
-* :mod:`repro.stream.router` — N vantage-point feeds sharded by prefix
-  across worker processes, merged into one durability domain.
+* :mod:`repro.stream.service` — the one ingestion driver: the tailing
+  loop with transactional alarm flushing, async double-buffered
+  checkpointing, kill-and-resume bit-identity, metrics and manifests;
+* :mod:`repro.stream.router` — the sharded ingest source the service
+  drives for N vantage-point feeds: prefix routing into worker processes,
+  day barriers, the composite checkpoint state.
 
 See ``docs/streaming.md`` for the feed format, checkpoint-chain layout,
 sharding, and resume semantics.
@@ -46,7 +47,7 @@ from repro.stream.feed import (
     read_feed,
     snapshot_deltas,
 )
-from repro.stream.router import FeedRouter, RouterError, merged_daily_counts
+from repro.stream.router import RouterError, ShardedSource, merged_daily_counts
 from repro.stream.service import FeedTailer, StreamService, StreamSummary
 
 __all__ = [
@@ -59,10 +60,10 @@ __all__ = [
     "FEED_VERSION",
     "FeedError",
     "FeedRecord",
-    "FeedRouter",
     "FeedTailer",
     "FeedWriter",
     "RouterError",
+    "ShardedSource",
     "SimulatorTap",
     "StreamAlarm",
     "StreamEngine",

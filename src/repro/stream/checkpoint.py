@@ -234,7 +234,8 @@ class ChainWriter:
         self._fault: FaultHook = fault if fault is not None else _no_fault
         self._base_digest: Optional[str] = None
         self._seq = 0
-        self._deltas_since_full = 0
+        #: Boundaries planned since the last planned full (None: none yet).
+        self._planned_since_full: Optional[int] = None
         self.fulls_written = 0
         self.deltas_written = 0
 
@@ -249,14 +250,29 @@ class ChainWriter:
                 os.fsync(handle.fileno())
         self._base_digest = chain.base_digest
         self._seq = chain.seq
-        self._deltas_since_full = chain.seq
+        self._planned_since_full = chain.seq
 
     def wants_full(self) -> bool:
         """Should the next boundary be a full snapshot (compaction)?"""
         return (
-            self._base_digest is None
-            or self._deltas_since_full + 1 >= self.full_every
+            self._planned_since_full is None
+            or self._planned_since_full + 1 >= self.full_every
         )
+
+    def plan(self, full: bool = False) -> str:
+        """Claim the next boundary's kind: ``"full"`` or ``"delta"``.
+
+        A full is written when ``full`` forces one or :meth:`wants_full`.
+        The cadence advances here, when the service captures a boundary,
+        not in the writes: an asynchronous writer running behind must not
+        change which boundaries compact.
+        """
+        if full or self.wants_full():
+            self._planned_since_full = 0
+            return "full"
+        assert self._planned_since_full is not None
+        self._planned_since_full += 1
+        return "delta"
 
     # -- writing -------------------------------------------------------------
 
@@ -286,7 +302,6 @@ class ChainWriter:
         fsync_parent_dir(self.path)
         self._base_digest = checkpoint.digest()
         self._seq = 0
-        self._deltas_since_full = 0
         self.fulls_written += 1
 
     def append_delta(
@@ -330,7 +345,6 @@ class ChainWriter:
             fsync_parent_dir(self.delta_path)
         self._fault("delta-post-fsync")
         self._seq += 1
-        self._deltas_since_full += 1
         self.deltas_written += 1
 
 

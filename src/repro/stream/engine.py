@@ -488,6 +488,18 @@ class StreamEngine:
         self._dirty_alarms.clear()
         self._dirty_days.clear()
 
+    def checkpoint_payload(self, kind: Optional[str]) -> Optional[Dict[str, Any]]:
+        """One boundary's chain payload, then :meth:`mark_clean`.
+
+        ``"full"`` captures :meth:`snapshot_state`, ``"delta"``
+        :meth:`delta_state`; ``None`` (no chain) captures nothing.
+        """
+        if kind is None:
+            return None
+        payload = self.snapshot_state() if kind == "full" else self.delta_state()
+        self.mark_clean()
+        return payload
+
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Rebuild engine state from a :meth:`snapshot_state` structure."""
         self.window = float(state["window"])

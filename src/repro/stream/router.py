@@ -1,7 +1,7 @@
-"""Sharded online detection — N vantage-point feeds fanned into S engines.
+"""Sharded ingest — N vantage-point feeds fanned into S engine processes.
 
 A single :class:`~repro.stream.engine.StreamEngine` tops out around one
-core's worth of per-update work.  :class:`FeedRouter` scales the service
+core's worth of per-update work.  :class:`ShardedSource` scales ingest
 across processes by partitioning the prefix space: each **shard** is a
 forked worker owning one engine, and the parent routes every announce /
 withdraw line to ``crc32(prefix) % shards`` without parsing it (a raw-byte
@@ -11,78 +11,37 @@ with its prefix, shards never produce duplicate alarms across the fleet,
 and the MOAS-active count for a day is simply the sum of the shard counts.
 
 **Day-boundary synchronisation.**  Each feed carries one tick per day.  The
-router reads every feed up to its day-``D`` tick, flushes the routed lines,
-then broadcasts exactly one ``tick(D)`` barrier to every shard — satisfying
-the engine's one-tick-per-day invariant and giving eviction the same global
-day clock a single engine would see.  The barrier reply carries each
-shard's alarm lines since the previous barrier; the parent concatenates
-them in shard-index order, so the merged log's line order is a pure
-function of the feed contents — ``(day, shard, emission order)`` — no
+source reads every feed up to its day-``D`` tick, flushes the routed
+lines, then broadcasts exactly one ``tick(D)`` barrier to every shard —
+satisfying the engine's one-tick-per-day invariant and giving eviction the
+same global day clock a single engine would see.  The barrier reply
+carries each shard's alarm lines since the previous barrier; they are
+concatenated in shard-index order, so the merged log's line order is a
+pure function of the feed contents — ``(day, shard, emission order)`` — no
 matter where checkpoints or interruptions fall.
 
-**One durability domain.**  The parent owns the only checkpoint chain and
-the only alarm log.  At a checkpoint boundary (the first day barrier after
-``checkpoint_every`` routed records) every shard also returns its engine
-payload — a full :meth:`~StreamEngine.snapshot_state` or a
-:meth:`~StreamEngine.delta_state` — and the parent writes one composite
-chain record (``shard_count``, per-shard states, per-feed byte offsets,
-the completed day) through the same
-:class:`~repro.stream.checkpoint.ChainWriter` the single-engine service
-uses, after fsyncing the alarm lines it accounts.  Kill-and-resume is
-therefore exactly the single-engine story: load the chain, refuse on a
-shard-count mismatch, restore each shard, ``os.truncate`` the alarm log to
-the recorded byte, seek each feed, continue — and the concatenated logs
-are bit-identical to an uninterrupted sharded run.
-
-A graceful stop (SIGTERM) finishes the in-flight day first, so every
-checkpoint sits on a day boundary and the merged-log ordering above holds
-across interruptions.
+**One durability domain.**  This module owns no file but the feeds it
+reads.  :class:`~repro.stream.service.StreamService` drives the source
+(``shards=S`` or several feeds) and owns the alarm log, the checkpoint
+chain, the index, resume and signals — the same code as a single-engine
+run.  At a checkpoint boundary (the first day barrier after
+``checkpoint_every`` records) every shard also returns its engine payload,
+and :meth:`ShardedSource.state` wraps the payloads into one composite
+chain record: ``shard_count``, per-shard states, per-feed byte offsets and
+the completed day.  Boundaries therefore sit on day barriers, and the
+merged-log ordering above holds across interruptions.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-import signal
 import zlib
 from pathlib import Path
-from types import FrameType
-from typing import (
-    IO,
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.fsio import fsync_parent_dir
-from repro.obs.manifest import ManifestRecord
-from repro.obs.metrics import MetricsRegistry
-from repro.stream.checkpoint import (
-    DEFAULT_FULL_EVERY,
-    ChainWriter,
-    Checkpoint,
-    CheckpointError,
-    FaultHook,
-    load_chain,
-    reap_stale_tmp,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import OP_TICK, FeedError, FeedRecord, parse_feed_line
-from repro.stream.service import (
-    StreamSummary,
-    _real_clock,
-    _real_sleep,
-    fault_hook_from_env,
-)
-
-if TYPE_CHECKING:  # runtime import is lazy: stream never *needs* query
-    from repro.query.builder import IndexBuilder
 
 #: Raw-byte markers in the canonical feed serialisation (sorted keys,
 #: compact separators — see FeedRecord.to_json_line).
@@ -121,16 +80,49 @@ def merged_daily_counts(shard_states: Sequence[Dict[str, Any]]) -> Dict[int, int
     return dict(sorted(totals.items()))
 
 
+def composite_totals(shard_states: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fleet-wide engine aggregates from full shard states, named as the
+    :class:`~repro.stream.service.StreamSummary` fields they fill."""
+    daily = merged_daily_counts(shard_states)
+    totals: Dict[str, int] = {}
+    for state in shard_states:
+        for row in state["alarm_counts"]:
+            kind_name = str(row[1])
+            totals[kind_name] = totals.get(kind_name, 0) + int(row[5])
+    return {
+        "alarms_emitted": sum(s["alarms_emitted"] for s in shard_states),
+        "alarm_duplicates": sum(s["alarm_duplicates"] for s in shard_states),
+        "moas_active": sum(s["moas_active"] for s in shard_states),
+        "state_prefixes": sum(
+            len(
+                {name for name, _ in s["origins"]}
+                | {name for name, _ in s["observed"]}
+            )
+            for s in shard_states
+        ),
+        "days_ticked": len(daily),
+        "alarm_totals": dict(sorted(totals.items())),
+        "daily_series": list(daily.values()),
+    }
+
+
 # -- the shard worker --------------------------------------------------------
 
 
-def _shard_worker(conn: Any, window: float, index_enabled: bool = False) -> None:
+def _shard_worker(
+    conn: Any,
+    window: float,
+    index_enabled: bool = False,
+    inherited: Sequence[Any] = (),
+) -> None:
     """One shard: an engine fed raw lines, answering barrier requests.
 
     Runs in a forked child.  The parent dying (even via ``SIGKILL`` /
     ``os._exit`` crash injection) closes the pipe, which surfaces here as
     ``EOFError``/``OSError`` — the worker exits, so crashes never strand
-    shard processes.
+    shard processes.  That needs the parent to hold the only copy of the
+    other end: the fork also copied it (and earlier shards' parent ends)
+    into this process, so ``inherited`` lists them for closing first.
 
     With ``index_enabled`` the shard also runs a
     :class:`~repro.query.track.OriginTracker` beside the engine and ships
@@ -140,6 +132,8 @@ def _shard_worker(conn: Any, window: float, index_enabled: bool = False) -> None
     the parent's read order for that prefix, which is why a byte-range
     replay reproduces the live-built index exactly.
     """
+    for stale in inherited:
+        stale.close()
     engine = StreamEngine(window=window)
     tracker = None
     if index_enabled:
@@ -172,13 +166,7 @@ def _shard_worker(conn: Any, window: float, index_enabled: bool = False) -> None
                         )
                         if event is not None:
                             events.append(event)
-                payload: Optional[Dict[str, Any]] = None
-                if kind == "full":
-                    payload = engine.snapshot_state()
-                elif kind == "delta":
-                    payload = engine.delta_state()
-                if kind is not None:
-                    engine.mark_clean()
+                payload = engine.checkpoint_payload(kind)
                 lines, pending = pending, []
                 shipped, events = events, []
                 conn.send((lines, payload, shipped))
@@ -216,10 +204,9 @@ class _Shard:
 class _RoutedFeed:
     """One vantage-point feed: raw binary reader with exact byte offsets."""
 
-    def __init__(self, index: int, path: Union[str, Path]) -> None:
-        self.index = index
-        self.path = Path(path)
-        self.handle: IO[bytes] = self.path.open("rb")
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.handle: IO[bytes] = path.open("rb")
         self.byte_offset = 0
         self.pending_tick: Optional[float] = None
         self.done = False
@@ -227,6 +214,30 @@ class _RoutedFeed:
     def seek(self, byte_offset: int) -> None:
         self.handle.seek(byte_offset)
         self.byte_offset = byte_offset
+
+    def read_to_tick(self, shards: List[_Shard]) -> int:
+        """Consume up to (and including) the next tick line, routing
+        announce/withdraw lines into shard buffers.  Returns the number of
+        records routed."""
+        routed = 0
+        while True:
+            line = self.handle.readline()
+            if not line or not line.endswith(b"\n"):
+                self.done = True
+                return routed
+            self.byte_offset += len(line)
+            if _HEADER_MARK in line:
+                continue
+            if _TICK_MARK in line:
+                self.pending_tick = _tick_day(line, self.path)
+                return routed
+            target = route_line(line, len(shards))
+            if target is None:
+                raise FeedError(
+                    f"{self.path}: unroutable feed line {line[:80]!r}"
+                )
+            shards[target].buffer.append(line)
+            routed += 1
 
     def close(self) -> None:
         if not self.handle.closed:
@@ -240,521 +251,176 @@ def _tick_day(line: bytes, path: Path) -> float:
         raise FeedError(f"{path}: malformed tick line {line!r}: {exc}") from exc
 
 
-class FeedRouter:
-    """Fan N feeds into S shard processes under one durability domain."""
+#: One barrier's harvest in shard-index order: alarm lines, index events,
+#: and (at a checkpoint boundary) each shard's engine payload.
+Harvest = Tuple[List[str], List[Any], List[Optional[Dict[str, Any]]]]
+
+
+class ShardedSource:
+    """N feeds read a day at a time into S forked shard engines.
+
+    Construction opens the feeds and forks the shards, so the service
+    builds the source before it starts its writer thread: forking after
+    another thread holds a lock can deadlock the child.
+    """
 
     def __init__(
         self,
-        feeds: Sequence[Union[str, Path]],
-        alarms: Union[str, Path],
-        checkpoint: Optional[Union[str, Path]] = None,
+        feeds: Sequence[Path],
+        shards: int,
+        window: float,
         *,
-        shards: int = 2,
-        window: float = 30.0,
-        checkpoint_every: int = 1000,
-        full_every: int = DEFAULT_FULL_EVERY,
-        throttle: float = 0.0,
-        max_records: Optional[int] = None,
+        index: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        clock: Optional[Callable[[], float]] = None,
-        sleeper: Optional[Callable[[float], None]] = None,
-        fault: Optional[FaultHook] = None,
-        index: Optional[Union[str, Path]] = None,
     ) -> None:
-        if not feeds:
-            raise RouterError("the router needs at least one feed")
-        if shards < 1:
-            raise RouterError(f"shards must be >= 1, got {shards}")
-        if checkpoint_every < 1:
-            raise RouterError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        self.feed_paths = [Path(feed) for feed in feeds]
-        self.alarms_path = Path(alarms)
-        self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
-        self.shards = shards
+        self.shard_count = shards
         self.window = window
-        self.checkpoint_every = checkpoint_every
-        self.full_every = full_every
-        self.throttle = throttle
-        self.max_records = max_records
-        self.checkpoints_written = 0
-        self.fulls_written = 0
-        self.deltas_written = 0
-        self._fault: Optional[FaultHook] = (
-            fault if fault is not None else fault_hook_from_env()
-        )
-        self._builder: Optional["IndexBuilder"] = None
-        if index is not None:
-            from repro.query.builder import IndexBuilder as _IndexBuilder
-
-            self._builder = _IndexBuilder(
-                index, metrics=metrics, fault=self._fault
-            )
-        self._chain: Optional[ChainWriter] = None
-        if self.checkpoint_path is not None:
-            self._chain = ChainWriter(
-                self.checkpoint_path, full_every=full_every, fault=self._fault
-            )
-        self._boundaries_since_full = 0
-        self._chain_started = False
-        self._alarm_lines = 0
-        self._alarm_bytes = 0
-        self._pending: List[str] = []
-        self._records_total = 0
-        self._stop_requested = False
-        self._epoch: Optional[float] = None
-        self._checkpoint_seconds = 0.0
-        # Quarantined timing/pacing injection points, as in StreamService.
-        self._clock = clock if clock is not None else _real_clock
-        self._sleeper = sleeper if sleeper is not None else _real_sleep
-        self._m_records = None
-        self._m_barriers = None
-        self._m_checkpoints = None
+        #: Records applied fleet-wide: routed lines plus one per day tick.
+        self.records = 0
+        #: The last day a barrier closed (``None`` before the first).
+        self.epoch: Optional[float] = None
+        self._m_records: Optional[Counter] = None
+        self._m_barriers: Optional[Counter] = None
         if metrics is not None:
             self._m_records = metrics.counter("router.records")
             self._m_barriers = metrics.counter("router.barriers")
-            self._m_checkpoints = metrics.counter("router.checkpoints")
             metrics.gauge("router.shards").set(shards)
+        self.feeds: List[_RoutedFeed] = []
+        self._shards: List[_Shard] = []
+        try:
+            for path in feeds:
+                self.feeds.append(_RoutedFeed(path))
+            self._spawn(index)
+        except BaseException:
+            self.close()
+            raise
 
-    # -- control ---------------------------------------------------------------
+    def _spawn(self, index: bool) -> None:
+        import multiprocessing  # only sharded runs pay for the import
 
-    def request_stop(self) -> None:
-        """Finish the in-flight day, checkpoint at its barrier, then return."""
-        self._stop_requested = True
-
-    def install_signal_handlers(self) -> None:
-        signal.signal(signal.SIGTERM, self._on_signal)
-        signal.signal(signal.SIGINT, self._on_signal)
-
-    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
-        self.request_stop()
-
-    # -- shard lifecycle -------------------------------------------------------
-
-    def _spawn_shards(self) -> List[_Shard]:
         try:
             context = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX platforms
             raise RouterError("sharded routing requires fork support") from exc
-        shards: List[_Shard] = []
-        for index in range(self.shards):
+        for number in range(self.shard_count):
             parent_conn, child_conn = context.Pipe()
+            inherited = [shard.conn for shard in self._shards] + [parent_conn]
             process = context.Process(
                 target=_shard_worker,
-                args=(child_conn, self.window, self._builder is not None),
-                name=f"stream-shard-{index}",
+                args=(child_conn, self.window, index, inherited),
+                name=f"stream-shard-{number}",
                 daemon=True,
             )
             process.start()
             child_conn.close()
-            shards.append(_Shard(index, process, parent_conn))
-        return shards
+            self._shards.append(_Shard(number, process, parent_conn))
 
-    def _stop_shards(self, shards: List[_Shard]) -> None:
-        for shard in shards:
+    def close(self) -> None:
+        """Stop the shard processes and close the feeds."""
+        for shard in self._shards:
             try:
                 shard.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
             shard.conn.close()
-        for shard in shards:
+        for shard in self._shards:
             shard.process.join(timeout=10)
             if shard.process.is_alive():  # pragma: no cover - hung worker
                 shard.process.terminate()
                 shard.process.join(timeout=10)
+        self._shards = []
+        for feed in self.feeds:
+            feed.close()
 
-    def _flush_buffers(self, shards: List[_Shard]) -> None:
-        for shard in shards:
-            if shard.buffer:
-                shard.conn.send(("lines", shard.buffer))
-                shard.buffer = []
+    # -- coordinates -----------------------------------------------------------
 
-    def _barrier(
-        self, shards: List[_Shard], day: Optional[float], kind: Optional[str]
-    ) -> List[Optional[Dict[str, Any]]]:
-        """Synchronise every shard; gather alarms (always, in shard-index
-        order — this is what fixes the merged-log ordering) and, when
-        ``kind`` is set, the per-shard checkpoint payloads."""
-        self._flush_buffers(shards)
-        for shard in shards:
-            shard.conn.send(("barrier", day, kind))
-        payloads: List[Optional[Dict[str, Any]]] = []
-        for shard in shards:
-            lines, payload, events = shard.conn.recv()
-            self._pending.extend(lines)
-            payloads.append(payload)
-            if self._builder is not None and events:
-                # Shard-index order, like the alarm lines: a prefix lives
-                # in exactly one shard, so per-prefix event order is
-                # already the parent's read order.
-                self._builder.ingest_events(events)
-        if self._m_barriers is not None:
-            self._m_barriers.inc()
-        return payloads
+    @property
+    def eof(self) -> bool:
+        return all(feed.done for feed in self.feeds)
 
-    # -- checkpointing ---------------------------------------------------------
+    def feed_offsets(self) -> List[int]:
+        return [feed.byte_offset for feed in self.feeds]
 
-    def _composite_full(
-        self, feeds: List[_RoutedFeed], payloads: List[Optional[Dict[str, Any]]]
-    ) -> Dict[str, Any]:
-        return {
-            "shard_count": self.shards,
-            "window": self.window,
-            "epoch": self._epoch,
-            "feed_offsets": [feed.byte_offset for feed in feeds],
-            "shards": payloads,
-        }
-
-    def _write_checkpoint(
-        self,
-        feeds: List[_RoutedFeed],
-        kind: str,
-        payloads: List[Optional[Dict[str, Any]]],
-    ) -> None:
-        """Flush pending alarm lines durably, then the chain record that
-        accounts them — the single transactional ordering both the service
-        and the router rely on."""
-        pending, self._pending = self._pending, []
-        self._alarm_lines += len(pending)
-        self._alarm_bytes += sum(len(line.encode("utf-8")) + 1 for line in pending)
-        if pending:
-            if self._fault is not None:
-                self._fault("alarm-pre-append")
-            with self.alarms_path.open("a", encoding="utf-8") as handle:
-                for line in pending:
-                    handle.write(line + "\n")
-                handle.flush()
-                if self._fault is not None:
-                    self._fault("alarm-pre-fsync")
-                os.fsync(handle.fileno())
-            if self._fault is not None:
-                self._fault("alarm-post-fsync")
-        assert self._chain is not None
-        if kind == "full":
-            self._chain.write_full(
-                Checkpoint(
-                    offset=self._records_total,
-                    byte_offset=0,
-                    alarm_lines=self._alarm_lines,
-                    engine_state=self._composite_full(feeds, payloads),
-                    alarm_bytes=self._alarm_bytes,
-                )
-            )
-            self._boundaries_since_full = 0
-            self._chain_started = True
-            self.fulls_written += 1
-        else:
-            self._chain.append_delta(
-                offset=self._records_total,
-                byte_offset=0,
-                alarm_lines=self._alarm_lines,
-                alarm_bytes=self._alarm_bytes,
-                delta={
-                    "epoch": self._epoch,
-                    "feed_offsets": [feed.byte_offset for feed in feeds],
-                    "shards": payloads,
-                },
-            )
-            self._boundaries_since_full += 1
-            self.deltas_written += 1
-        self.checkpoints_written += 1
-        if self._m_checkpoints is not None:
-            self._m_checkpoints.inc()
-        self._commit_index(feeds, pending)
-
-    def _commit_index(
-        self, feeds: List[_RoutedFeed], pending: List[str]
-    ) -> None:
-        """Publish the index boundary — strictly after the chain write, so
-        the manifest never references records the chain hasn't made
-        durable."""
-        if self._builder is None:
-            return
-        job = self._builder.prepare_boundary(
-            {
-                "records": self._records_total,
-                "alarm_bytes": self._alarm_bytes,
-                "feed_offsets": [feed.byte_offset for feed in feeds],
-            },
-            pending,
-        )
-        if job is not None:
-            self._builder.commit(job)
-
-    def _next_kind(self) -> str:
-        if (
-            not self._chain_started
-            or self._boundaries_since_full + 1 >= self.full_every
-        ):
-            return "full"
-        return "delta"
-
-    def _truncate_alarm_log(self, checkpoint: Checkpoint) -> None:
-        keep = checkpoint.alarm_bytes
-        size = self.alarms_path.stat().st_size
-        if size < keep:
-            raise CheckpointError(
-                f"alarm log {self.alarms_path} has {size} bytes but the "
-                f"checkpoint recorded {keep} durable"
-            )
-        with self.alarms_path.open("r+b") as handle:
-            if keep > 0:
-                handle.seek(keep - 1)
-                if handle.read(1) != b"\n":
-                    raise CheckpointError(
-                        f"alarm log {self.alarms_path} does not end a line "
-                        f"at byte {keep}; refusing to truncate"
-                    )
-            if size > keep:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-        self._alarm_bytes = keep
-
-    def _resume(
-        self, feeds: List[_RoutedFeed], shards: List[_Shard]
-    ) -> None:
-        if self.checkpoint_path is None:
-            raise RouterError("resume requested but no checkpoint path configured")
-        chain = load_chain(self.checkpoint_path)
-        checkpoint = chain.checkpoint
-        state = checkpoint.engine_state
-        if "shard_count" not in state:
-            raise CheckpointError(
-                f"{self.checkpoint_path} is a single-engine checkpoint, not "
-                f"a router composite"
-            )
-        if int(state["shard_count"]) != self.shards:
-            raise CheckpointError(
-                f"checkpoint was written by {state['shard_count']} shards, "
-                f"cannot resume with {self.shards}"
-            )
-        offsets = state["feed_offsets"]
-        if len(offsets) != len(feeds):
-            raise CheckpointError(
-                f"checkpoint recorded {len(offsets)} feeds, "
-                f"got {len(feeds)}"
-            )
-        for shard, shard_state in zip(shards, state["shards"]):
+    def restore(self, records: int, state: Dict[str, Any]) -> None:
+        """Adopt a composite checkpoint whose layout the caller checked."""
+        for shard, shard_state in zip(self._shards, state["shards"]):
             shard.conn.send(("restore", shard_state))
-        for shard in shards:
+        for shard in self._shards:
             reply = shard.conn.recv()
             if reply != ("ok",):  # pragma: no cover - defensive
                 raise RouterError(f"shard {shard.index} failed to restore")
-        for feed, offset in zip(feeds, offsets):
+        for feed, offset in zip(self.feeds, state["feed_offsets"]):
             feed.seek(int(offset))
-        self._epoch = state["epoch"]
-        self._records_total = checkpoint.offset
-        self._alarm_lines = checkpoint.alarm_lines
-        if self.alarms_path.exists():
-            self._truncate_alarm_log(checkpoint)
-        else:
-            self.alarms_path.write_text("", encoding="utf-8")
-            fsync_parent_dir(self.alarms_path)
-            self._alarm_bytes = 0
-        assert self._chain is not None
-        self._chain.resume(chain)
-        self._boundaries_since_full = chain.seq
-        self._chain_started = True
-        if self._builder is not None:
-            end = checkpoint.index_coordinates()
-            end["alarm_bytes"] = self._alarm_bytes
-            self._builder.resume(
-                feeds=list(self.feed_paths),
-                alarms=self.alarms_path,
-                end=end,
-            )
+        self.epoch = state["epoch"]
+        self.records = records
 
-    # -- the run loop ----------------------------------------------------------
+    # -- one day ---------------------------------------------------------------
 
-    def _read_to_tick(self, feed: _RoutedFeed, shards: List[_Shard]) -> int:
-        """Consume one feed up to (and including) its next tick line,
-        routing announce/withdraw lines into shard buffers.  Returns the
-        number of records routed."""
+    def advance(self) -> Tuple[int, Optional[float]]:
+        """Route every live feed up to its next tick.
+
+        Returns the records routed and the day to close with a barrier,
+        or ``None`` when no feed reached a tick (some hit EOF mid-day:
+        their lines stay buffered for the next barrier).
+        """
         routed = 0
-        while True:
-            line = feed.handle.readline()
-            if not line or not line.endswith(b"\n"):
-                feed.done = True
-                return routed
-            feed.byte_offset += len(line)
-            if _HEADER_MARK in line:
-                continue
-            if _TICK_MARK in line:
-                feed.pending_tick = _tick_day(line, feed.path)
-                return routed
-            target = route_line(line, self.shards)
-            if target is None:
-                raise FeedError(
-                    f"{feed.path}: unroutable feed line {line[:80]!r}"
-                )
-            shards[target].buffer.append(line)
-            routed += 1
-
-    def run(self, resume: bool = False) -> StreamSummary:
-        started = self._clock()
-        if self.checkpoint_path is not None:
-            reap_stale_tmp(self.checkpoint_path)
-        feeds = [
-            _RoutedFeed(index, path)
-            for index, path in enumerate(self.feed_paths)
+        for feed in self.feeds:
+            if not feed.done and feed.pending_tick is None:
+                routed += feed.read_to_tick(self._shards)
+        self.records += routed
+        if self._m_records is not None:
+            self._m_records.inc(routed)
+        ticking = [
+            feed for feed in self.feeds
+            if not feed.done and feed.pending_tick is not None
         ]
-        shards = self._spawn_shards()
-        stopped_early = False
-        reached_eof = False
-        try:
-            if resume:
-                self._resume(feeds, shards)
-            else:
-                self.alarms_path.write_text("", encoding="utf-8")
-                fsync_parent_dir(self.alarms_path)
-                self._alarm_lines = 0
-                self._alarm_bytes = 0
-                if self._builder is not None:
-                    from repro.query.builder import MODE_ROUTER
-
-                    self._builder.start_fresh(
-                        MODE_ROUTER, feed_count=len(feeds)
-                    )
-            applied = 0
-            since_checkpoint = 0
-            while True:
-                if self._stop_requested:
-                    stopped_early = True
-                    break
-                if self.max_records is not None and applied >= self.max_records:
-                    stopped_early = True
-                    break
-                live = [feed for feed in feeds if not feed.done]
-                if not live:
-                    reached_eof = True
-                    break
-                for feed in live:
-                    if feed.pending_tick is None:
-                        routed = self._read_to_tick(feed, shards)
-                        applied += routed
-                        since_checkpoint += routed
-                        self._records_total += routed
-                        if self._m_records is not None:
-                            self._m_records.inc(routed)
-                # A feed that hit EOF mid-day contributes its lines but no
-                # tick; the day closes on the feeds that did tick.
-                ticking = [
-                    feed for feed in feeds
-                    if not feed.done and feed.pending_tick is not None
-                ]
-                if not ticking:
-                    continue  # some feeds went EOF; loop re-evaluates
-                days = sorted({feed.pending_tick for feed in ticking})
-                if len(days) != 1:
-                    raise RouterError(
-                        f"vantage feeds disagree on the current day: {days}"
-                    )
-                day = days[0]
-                self._records_total += 1  # the day's tick, applied fleet-wide
-                applied += 1
-                since_checkpoint += 1
-                kind: Optional[str] = None
-                if self._chain is not None and (
-                    since_checkpoint >= self.checkpoint_every
-                ):
-                    kind = self._next_kind()
-                payloads = self._barrier(shards, day, kind)
-                self._epoch = day
-                for feed in ticking:
-                    feed.pending_tick = None
-                if kind is not None:
-                    began = self._clock()
-                    self._write_checkpoint(feeds, kind, payloads)
-                    self._checkpoint_seconds += self._clock() - began
-                    since_checkpoint = 0
-                if self.throttle > 0.0:
-                    self._sleeper(self.throttle)
-            # Final barrier: collect remaining alarms and a full composite
-            # state, then make both durable (when a chain is configured).
-            final = self._barrier(shards, None, "full")
-            states = [payload for payload in final if payload is not None]
-            if self._chain is not None:
-                began = self._clock()
-                self._write_checkpoint(feeds, "full", final)
-                self._checkpoint_seconds += self._clock() - began
-            elif self._pending or self._builder is not None:
-                pending, self._pending = self._pending, []
-                self._alarm_lines += len(pending)
-                self._alarm_bytes += sum(
-                    len(line.encode("utf-8")) + 1 for line in pending
-                )
-                if pending:
-                    with self.alarms_path.open("a", encoding="utf-8") as handle:
-                        for line in pending:
-                            handle.write(line + "\n")
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                self._commit_index(feeds, pending)
-            wall = self._clock() - started
-            daily = merged_daily_counts(states)
-            totals: Dict[str, int] = {}
-            for state in states:
-                for row in state["alarm_counts"]:
-                    kind_name = str(row[1])
-                    totals[kind_name] = totals.get(kind_name, 0) + int(row[5])
-            return StreamSummary(
-                records=applied,
-                offset=self._records_total,
-                alarms_emitted=sum(s["alarms_emitted"] for s in states),
-                alarm_duplicates=sum(s["alarm_duplicates"] for s in states),
-                alarm_lines=self._alarm_lines,
-                checkpoints=self.checkpoints_written,
-                checkpoint_fulls=self.fulls_written,
-                checkpoint_deltas=self.deltas_written,
-                moas_active=sum(s["moas_active"] for s in states),
-                state_prefixes=sum(
-                    len(
-                        {name for name, _ in s["origins"]}
-                        | {name for name, _ in s["observed"]}
-                    )
-                    for s in states
-                ),
-                days_ticked=len(daily),
-                stopped=stopped_early,
-                eof=reached_eof,
-                wall_seconds=wall,
-                events_per_sec=applied / wall if wall > 0 else 0.0,
-                checkpoint_seconds=self._checkpoint_seconds,
-                shards=self.shards,
-                alarm_totals=dict(sorted(totals.items())),
-                daily_series=list(daily.values()),
+        if not ticking:
+            return routed, None
+        days = sorted({feed.pending_tick or 0.0 for feed in ticking})
+        if len(days) != 1:
+            raise RouterError(
+                f"vantage feeds disagree on the current day: {days}"
             )
-        finally:
-            self._stop_shards(shards)
-            for feed in feeds:
-                feed.close()
+        for feed in ticking:
+            feed.pending_tick = None
+        self.records += 1  # the day's tick, applied fleet-wide
+        return routed, days[0]
 
-    # -- attribution -----------------------------------------------------------
+    def barrier(self, day: Optional[float], kind: Optional[str]) -> Harvest:
+        """Synchronise every shard on ``day`` (``None``: no tick, the final
+        flush) and gather, in shard-index order, what each produced since
+        the last barrier — the order that fixes the merged log's lines.
+        ``kind`` asks each shard for a ``"full"`` or ``"delta"`` payload."""
+        for shard in self._shards:
+            if shard.buffer:
+                shard.conn.send(("lines", shard.buffer))
+                shard.buffer = []
+        for shard in self._shards:
+            shard.conn.send(("barrier", day, kind))
+        lines: List[str] = []
+        events: List[Any] = []
+        payloads: List[Optional[Dict[str, Any]]] = []
+        for shard in self._shards:
+            shard_lines, payload, shard_events = shard.conn.recv()
+            lines.extend(shard_lines)
+            events.extend(shard_events)
+            payloads.append(payload)
+        if day is not None:
+            self.epoch = day
+        if self._m_barriers is not None:
+            self._m_barriers.inc()
+        return lines, events, payloads
 
-    def manifest_record(
-        self,
-        summary: StreamSummary,
-        spec: Optional[Dict[str, Any]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> ManifestRecord:
-        base_spec: Dict[str, Any] = {
-            "kind": "stream-router",
-            "feeds": [str(path) for path in self.feed_paths],
-            "shards": self.shards,
-            "window": self.window,
-            "checkpoint_every": self.checkpoint_every,
-            "full_every": self.full_every,
+    def state(
+        self, kind: str, payloads: List[Optional[Dict[str, Any]]]
+    ) -> Dict[str, Any]:
+        """The composite chain payload: a full document or a delta."""
+        state: Dict[str, Any] = {
+            "epoch": self.epoch,
+            "feed_offsets": self.feed_offsets(),
+            "shards": payloads,
         }
-        if spec is not None:
-            base_spec.update(spec)
-        return ManifestRecord(
-            index=0,
-            seed=0,
-            spec=base_spec,
-            outcome=summary.to_dict(),
-            metrics={} if metrics is None else dict(metrics.snapshot()),
-            worker="stream-router",
-            wall_seconds=summary.wall_seconds,
-        )
+        if kind == "full":
+            state["shard_count"] = self.shard_count
+            state["window"] = self.window
+        return state

@@ -1,4 +1,4 @@
-"""The long-running detection service.
+"""The long-running detection service — the one ingestion driver.
 
 :class:`StreamService` tails a feed file (or FIFO) in batched reads, pushes
 every record through a :class:`~repro.stream.engine.StreamEngine`, and
@@ -8,25 +8,32 @@ persists two artefacts:
 * the **checkpoint chain** — a full engine snapshot plus delta-encoded
   incremental boundaries (see :mod:`repro.stream.checkpoint`).
 
-The two are coupled transactionally: pending alarm lines are flushed to the
-log *only* at checkpoint boundaries (and once more at a graceful stop), and
+With ``shards > 1`` or several vantage feeds, the engine is replaced by a
+:class:`~repro.stream.router.ShardedSource` — forked shard engines fed by
+prefix and synchronised on day barriers — and everything below holds
+unchanged: there is one durability path, whichever source feeds it.
+
+The two artefacts are coupled transactionally: pending alarm lines are
+flushed to the log *only* at boundaries — every ``checkpoint_every``
+records, with or without a chain, and once more at a graceful stop — and
 the chain record written immediately after states how many lines — and
 bytes — are durable.  A service killed at an arbitrary point therefore
 leaves an alarm log whose durable prefix is named by the last durable chain
 record, and a resume — which replays the chain, rolls the log back with a
-single ``os.truncate`` to the recorded byte offset, and seeks the feed to
-the recorded byte offset — continues producing exactly the remaining lines.
-Concatenating the two runs' logs reproduces the uninterrupted log byte for
-byte; ``tests/test_stream_service.py``, the fault-injection suite in
-``tests/test_stream_faults.py`` and the ``stream-smoke`` CI job hold that
-property.
+single ``os.truncate`` to the recorded byte offset, and seeks the feed(s)
+to the recorded byte offset(s) — continues producing exactly the remaining
+lines.  Concatenating the two runs' logs reproduces the uninterrupted log
+byte for byte; ``tests/test_stream_service.py``, the fault-injection suite
+in ``tests/test_stream_faults.py`` and the ``stream-smoke`` CI job hold
+that property.
 
 Serialisation is **double-buffered off the ingest path**: at a boundary the
 service captures the (cheap, delta-encoded) payload synchronously, then
-hands the alarm flush + chain append to a background writer thread; ingest
-only blocks when two boundaries are already in flight.  Ordering is
-preserved by the queue, so the durability invariants are exactly those of
-the synchronous path — ``async_io=False`` forces inline writes for tests.
+hands the alarm flush + chain append + index commit to a background writer
+thread; ingest only blocks when two boundaries are already in flight.
+Ordering is preserved by the queue, so the durability invariants are
+exactly those of the synchronous path — ``async_io=False`` forces inline
+writes for tests.
 
 Wall time never steers detection: the loop takes an injectable ``clock``
 (throughput/latency measurement only — quarantined like every other timing
@@ -54,6 +61,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -72,6 +80,7 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import FeedError, FeedRecord, parse_feed_line
+from repro.stream.router import ShardedSource, composite_totals
 
 if TYPE_CHECKING:  # runtime import is lazy: stream never *needs* query
     from repro.query.builder import IndexBuilder, IndexJob
@@ -269,15 +278,29 @@ class _WriterPump:
         self._check()
 
 
+
+
+#: What feeds a run: the in-process tailer, or the sharded fleet.
+_Source = Union[FeedTailer, ShardedSource]
+
+
 class StreamService:
-    """Tail a feed, detect online, checkpoint incrementally, survive kills."""
+    """Tail feeds, detect online, checkpoint incrementally, survive kills.
+
+    One feed with ``shards=1`` runs one in-process engine.  ``shards > 1``
+    or several feeds route the records by prefix into shard processes (a
+    :class:`~repro.stream.router.ShardedSource`, which has no follow mode
+    and checkpoints on day barriers); the alarm log, the checkpoint chain,
+    the index, resume and signals are this class's either way.
+    """
 
     def __init__(
         self,
-        feed: Union[str, Path],
+        feed: Union[str, Path, Sequence[Union[str, Path]]],
         alarms: Union[str, Path],
         checkpoint: Optional[Union[str, Path]] = None,
         *,
+        shards: int = 1,
         window: float = 30.0,
         batch_size: int = 256,
         checkpoint_every: int = 1000,
@@ -293,6 +316,14 @@ class StreamService:
         fault: Optional[FaultHook] = None,
         index: Optional[Union[str, Path]] = None,
     ) -> None:
+        if isinstance(feed, (str, Path)):
+            self.feed_paths = [Path(feed)]
+        else:
+            self.feed_paths = [Path(path) for path in feed]
+        if not self.feed_paths:
+            raise ValueError("the service needs at least one feed")
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if checkpoint_every < 1:
@@ -301,10 +332,19 @@ class StreamService:
             )
         if full_every < 1:
             raise ValueError(f"full_every must be >= 1, got {full_every}")
-        self.feed_path = Path(feed)
+        self.shards = shards
+        self.sharded = shards > 1 or len(self.feed_paths) > 1
+        if self.sharded and follow:
+            raise ValueError(
+                "follow mode is not supported with sharded routing"
+            )
         self.alarms_path = Path(alarms)
         self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
-        self.engine = StreamEngine(window=window, metrics=metrics)
+        self.window = window
+        # A sharded run's engines live in the shard processes.
+        self.engine = StreamEngine(
+            window=window, metrics=None if self.sharded else metrics
+        )
         self.batch_size = batch_size
         self.checkpoint_every = checkpoint_every
         self.full_every = full_every
@@ -312,9 +352,7 @@ class StreamService:
         self.poll_interval = poll_interval
         self.throttle = throttle
         self.max_records = max_records
-        self.checkpoints_written = 0
-        self.fulls_written = 0
-        self.deltas_written = 0
+        self._metrics = metrics
         self._fault: Optional[FaultHook] = (
             fault if fault is not None else fault_hook_from_env()
         )
@@ -332,8 +370,6 @@ class StreamService:
                 full_every=full_every,
                 fault=self._fault,
             )
-        self._boundaries_since_full = 0
-        self._chain_started = False
         self._alarm_lines = 0
         self._alarm_bytes = 0
         self._pending: List[str] = []
@@ -354,7 +390,7 @@ class StreamService:
     # -- control ---------------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Finish the in-flight batch, flush + checkpoint, then return."""
+        """Finish the in-flight batch (or day), checkpoint, then return."""
         self._stop_requested = True
 
     def install_signal_handlers(self) -> None:
@@ -373,80 +409,154 @@ class StreamService:
             # A crash mid-write strands `<name>*.tmp` files that nothing
             # would ever collect; sweep them before touching the chain.
             reap_stale_tmp(self.checkpoint_path)
-        tailer = FeedTailer(self.feed_path)
-        if self._async_io:
-            self._pump = _WriterPump(self._execute_boundary)
+        # The shards fork here, before the writer thread exists.
+        source: _Source
+        if self.sharded:
+            source = ShardedSource(
+                self.feed_paths,
+                self.shards,
+                self.window,
+                index=self._builder is not None,
+                metrics=self._metrics,
+            )
+        else:
+            source = FeedTailer(self.feed_paths[0])
         try:
+            if self._async_io:
+                self._pump = _WriterPump(self._execute_boundary)
             if resume:
-                self._resume(tailer)
+                self._resume(source)
             else:
                 # Fresh run: start the alarm log empty so reruns never append
-                # to a stale log; directory-fsync so the (possibly new) log
-                # file itself survives a crash.
-                self.alarms_path.write_text("", encoding="utf-8")
-                fsync_parent_dir(self.alarms_path)
+                # to a stale log.
+                self._reset_alarm_log()
                 self._alarm_lines = 0
-                self._alarm_bytes = 0
                 if self._builder is not None:
-                    self._builder.start_fresh()
-            applied = 0
-            since_checkpoint = 0
-            reached_eof = False
-            while not self._stop_requested:
-                if self.max_records is not None and applied >= self.max_records:
-                    break
-                limit = self.batch_size
-                if self.max_records is not None:
-                    limit = min(limit, self.max_records - applied)
-                batch = tailer.read_batch(limit)
-                if not batch:
-                    if not self.follow:
-                        reached_eof = True
-                        break
-                    self._sleeper(self.poll_interval)
-                    continue
-                for record in batch:
-                    for alarm in self.engine.apply(record):
-                        self._pending.append(alarm.to_json_line())
-                    if self._builder is not None:
-                        self._builder.observe(record)
-                applied += len(batch)
-                since_checkpoint += len(batch)
-                if self.throttle > 0.0:
-                    self._sleeper(self.throttle)
-                if since_checkpoint >= self.checkpoint_every:
-                    self._flush_and_checkpoint(tailer)
-                    since_checkpoint = 0
-            # Graceful exit: whatever stopped us, leave the log and
-            # checkpoint agreeing on a resumable record boundary.
-            self._flush_and_checkpoint(tailer)
+                    from repro.query.builder import MODE_ROUTER, MODE_SINGLE
+
+                    self._builder.start_fresh(
+                        MODE_ROUTER if self.sharded else MODE_SINGLE,
+                        feed_count=len(self.feed_paths),
+                    )
+            # Whatever stops the ingest, the closing boundary leaves the log
+            # and checkpoint agreeing on a resumable record boundary.
+            totals: Dict[str, Any]
+            if isinstance(source, FeedTailer):
+                applied, reached_eof = self._ingest(source)
+                self._checkpoint(self._plan(), source)
+                totals = {
+                    "offset": self.engine.offset,
+                    "alarms_emitted": self.engine.alarms_emitted,
+                    "alarm_duplicates": self.engine.alarm_duplicates,
+                    "moas_active": self.engine.moas_active,
+                    "state_prefixes": self.engine.state_prefixes,
+                    "days_ticked": len(self.engine.daily_counts),
+                    "alarm_totals": self.engine.alarm_totals(),
+                    "daily_series": self.engine.daily_series(),
+                }
+            else:
+                applied, reached_eof = self._ingest_sharded(source)
+                # The closing barrier always gathers full shard states: the
+                # summary totals come from them.
+                kind = self._plan(full=True)
+                payloads = self._barrier(source, None, "full")
+                self._checkpoint(kind, source, payloads)
+                states = [state for state in payloads if state is not None]
+                totals = dict(composite_totals(states), offset=source.records)
             self._drain_pump()
             wall = self._clock() - started
+            chain = self._chain
+            fulls = 0 if chain is None else chain.fulls_written
+            deltas = 0 if chain is None else chain.deltas_written
             return StreamSummary(
                 records=applied,
-                offset=self.engine.offset,
-                alarms_emitted=self.engine.alarms_emitted,
-                alarm_duplicates=self.engine.alarm_duplicates,
                 alarm_lines=self._alarm_lines,
-                checkpoints=self.checkpoints_written,
-                checkpoint_fulls=self.fulls_written,
-                checkpoint_deltas=self.deltas_written,
-                moas_active=self.engine.moas_active,
-                state_prefixes=self.engine.state_prefixes,
-                days_ticked=len(self.engine.daily_counts),
-                stopped=self._stop_requested,
+                checkpoints=fulls + deltas,
+                checkpoint_fulls=fulls,
+                checkpoint_deltas=deltas,
+                stopped=not reached_eof,
                 eof=reached_eof,
                 wall_seconds=wall,
                 events_per_sec=applied / wall if wall > 0 else 0.0,
                 checkpoint_seconds=self._checkpoint_seconds,
-                alarm_totals=self.engine.alarm_totals(),
-                daily_series=self.engine.daily_series(),
+                shards=self.shards,
+                **totals,
             )
         finally:
             try:
                 self._drain_pump()
             finally:
-                tailer.close()
+                source.close()
+
+    def _ingest(self, tailer: FeedTailer) -> Tuple[int, bool]:
+        """The single-engine loop: batches through the in-process engine,
+        a boundary every ``checkpoint_every`` records.  Returns the records
+        applied and whether the feed reached EOF."""
+        applied = 0
+        since_checkpoint = 0
+        while not self._stop_requested:
+            if self.max_records is not None and applied >= self.max_records:
+                break
+            limit = self.batch_size
+            if self.max_records is not None:
+                limit = min(limit, self.max_records - applied)
+            batch = tailer.read_batch(limit)
+            if not batch:
+                if not self.follow:
+                    return applied, True
+                self._sleeper(self.poll_interval)
+                continue
+            for record in batch:
+                for alarm in self.engine.apply(record):
+                    self._pending.append(alarm.to_json_line())
+                if self._builder is not None:
+                    self._builder.observe(record)
+            applied += len(batch)
+            since_checkpoint += len(batch)
+            if self.throttle > 0.0:
+                self._sleeper(self.throttle)
+            if since_checkpoint >= self.checkpoint_every:
+                self._checkpoint(self._plan(), tailer)
+                since_checkpoint = 0
+        return applied, False
+
+    def _ingest_sharded(self, source: ShardedSource) -> Tuple[int, bool]:
+        """The sharded loop: one day per barrier, a boundary at the first
+        barrier after ``checkpoint_every`` records.  Returns the records
+        applied and whether every feed reached EOF."""
+        applied = 0
+        since_checkpoint = 0
+        while not self._stop_requested:
+            if self.max_records is not None and applied >= self.max_records:
+                break
+            if source.eof:
+                return applied, True
+            routed, day = source.advance()
+            applied += routed
+            since_checkpoint += routed
+            if day is None:
+                continue  # some feeds went EOF mid-day; re-evaluate
+            applied += 1  # the day's tick
+            since_checkpoint += 1
+            due = since_checkpoint >= self.checkpoint_every
+            kind = self._plan() if due else None
+            payloads = self._barrier(source, day, kind)
+            if due:
+                self._checkpoint(kind, source, payloads)
+                since_checkpoint = 0
+            if self.throttle > 0.0:
+                self._sleeper(self.throttle)
+        return applied, False
+
+    def _barrier(
+        self, source: ShardedSource, day: Optional[float], kind: Optional[str]
+    ) -> List[Optional[Dict[str, Any]]]:
+        """Close a day on every shard; keep its alarms and index events."""
+        lines, events, payloads = source.barrier(day, kind)
+        self._pending.extend(lines)
+        if self._builder is not None and events:
+            self._builder.ingest_events(events)
+        return payloads
 
     def _drain_pump(self) -> None:
         if self._pump is not None:
@@ -455,33 +565,34 @@ class StreamService:
             pump.close()
             self._checkpoint_seconds += self._clock() - began
 
-    # -- checkpointing ----------------------------------------------------------
+    # -- resume ---------------------------------------------------------------
 
-    def _resume(self, tailer: FeedTailer) -> None:
+    def _resume(self, source: _Source) -> None:
         if self.checkpoint_path is None:
             raise ValueError("resume requested but no checkpoint path configured")
         chain = load_chain(self.checkpoint_path)
         checkpoint = chain.checkpoint
-        self.engine.restore_state(checkpoint.engine_state)
-        if checkpoint.offset != self.engine.offset:
-            raise CheckpointError(
-                f"checkpoint offset {checkpoint.offset} disagrees with its "
-                f"engine state offset {self.engine.offset}"
-            )
+        state = checkpoint.engine_state
+        self._check_layout(state)
+        if isinstance(source, FeedTailer):
+            self.engine.restore_state(state)
+            if checkpoint.offset != self.engine.offset:
+                raise CheckpointError(
+                    f"checkpoint offset {checkpoint.offset} disagrees with its "
+                    f"engine state offset {self.engine.offset}"
+                )
+            source.seek(checkpoint.byte_offset)
+        else:
+            source.restore(checkpoint.offset, state)
         self._alarm_lines = checkpoint.alarm_lines
         if self.alarms_path.exists():
             self._truncate_alarm_log(checkpoint)
         else:
             # Resuming onto a fresh log path: it receives only the lines the
             # uninterrupted run would emit after the checkpoint.
-            self.alarms_path.write_text("", encoding="utf-8")
-            fsync_parent_dir(self.alarms_path)
-            self._alarm_bytes = 0
+            self._reset_alarm_log()
         assert self._chain is not None  # checkpoint_path implies a chain
         self._chain.resume(chain)
-        self._boundaries_since_full = chain.seq
-        self._chain_started = True
-        tailer.seek(checkpoint.byte_offset)
         if self._builder is not None:
             end = checkpoint.index_coordinates()
             # The truncation above may have corrected v1-era byte
@@ -489,8 +600,46 @@ class StreamService:
             # durable in *this* log file.
             end["alarm_bytes"] = self._alarm_bytes
             self._builder.resume(
-                feeds=[self.feed_path], alarms=self.alarms_path, end=end
+                feeds=self.feed_paths, alarms=self.alarms_path, end=end
             )
+
+    def _check_layout(self, state: Dict[str, Any]) -> None:
+        """Refuse a checkpoint another ingest layout wrote: a single-engine
+        state for a sharded run, a composite for a single-engine run, or a
+        composite of a different shard or feed count."""
+        written = state.get("shard_count")
+        if written is None:
+            if self.sharded:
+                raise CheckpointError(
+                    f"{self.checkpoint_path} is a single-engine checkpoint, "
+                    f"cannot resume with {self.shards} shard(s) over "
+                    f"{len(self.feed_paths)} feed(s)"
+                )
+            return
+        offsets = state.get("feed_offsets") or []
+        if not self.sharded:
+            raise CheckpointError(
+                f"{self.checkpoint_path} is a composite checkpoint of "
+                f"{written} shard(s) over {len(offsets)} feed(s), cannot "
+                f"resume with a single engine"
+            )
+        if int(written) != self.shards:
+            raise CheckpointError(
+                f"checkpoint was written by {written} shards, "
+                f"cannot resume with {self.shards}"
+            )
+        if len(offsets) != len(self.feed_paths):
+            raise CheckpointError(
+                f"checkpoint recorded {len(offsets)} feeds, "
+                f"got {len(self.feed_paths)}"
+            )
+
+    def _reset_alarm_log(self) -> None:
+        """Start the alarm log empty; directory-fsync so the (possibly new)
+        log file itself survives a crash."""
+        self.alarms_path.write_text("", encoding="utf-8")
+        fsync_parent_dir(self.alarms_path)
+        self._alarm_bytes = 0
 
     def _truncate_alarm_log(self, checkpoint: Checkpoint) -> None:
         """Roll the log back to the checkpoint's durable prefix.
@@ -499,9 +648,7 @@ class StreamService:
         chain write: any bytes past the recorded durable length were
         flushed for a boundary that never became durable, and will be
         re-emitted.  The rollback itself is one ``os.truncate`` — a single
-        atomic syscall, safe to die during and idempotent to repeat —
-        replacing the old read-all-lines-and-rewrite (which a crash could
-        leave half-written, silently corrupting the log).
+        atomic syscall, safe to die during and idempotent to repeat.
         """
         keep_bytes = checkpoint.alarm_bytes
         if keep_bytes == 0 and checkpoint.alarm_lines > 0:
@@ -547,57 +694,67 @@ class StreamService:
             f"checkpoint recorded {lines}"
         )
 
-    def _flush_and_checkpoint(self, tailer: FeedTailer) -> None:
+    # -- checkpointing ----------------------------------------------------------
+
+    def _plan(self, full: bool = False) -> Optional[str]:
+        """The next boundary's chain record kind (``None``: no chain)."""
+        if self._chain is None:
+            return None
+        kind = self._chain.plan(full)
+        if self._m_checkpoints is not None:
+            self._m_checkpoints.inc()
+        counter = self._m_fulls if kind == "full" else self._m_deltas
+        if counter is not None:
+            counter.inc()
+        return kind
+
+    def _checkpoint(
+        self,
+        kind: Optional[str],
+        source: _Source,
+        payloads: Optional[List[Optional[Dict[str, Any]]]] = None,
+    ) -> None:
+        """Capture one boundary and hand its durable work to the writer:
+        the pending alarm lines, the ``kind`` chain record, the index
+        segment.  ``payloads`` are the shard states a sharded barrier
+        gathered for ``kind``."""
         began = self._clock()
         pending, self._pending = self._pending, []
         self._alarm_lines += len(pending)
         self._alarm_bytes += sum(len(line.encode("utf-8")) + 1 for line in pending)
-        kind: Optional[str] = None
+        cursor: Dict[str, Any]
+        if isinstance(source, FeedTailer):
+            state = self.engine.checkpoint_payload(kind)
+            records, byte_offset = self.engine.offset, source.byte_offset
+            cursor = {"feed_bytes": byte_offset}
+        else:
+            assert payloads is not None
+            state = None if kind is None else source.state(kind, payloads)
+            records, byte_offset = source.records, 0
+            cursor = {"feed_offsets": source.feed_offsets()}
         checkpoint: Optional[Checkpoint] = None
         delta: Dict[str, Any] = {}
-        if self._chain is not None:
-            if (
-                not self._chain_started
-                or self._boundaries_since_full + 1 >= self.full_every
-            ):
-                kind = "full"
-                checkpoint = Checkpoint(
-                    offset=self.engine.offset,
-                    byte_offset=tailer.byte_offset,
-                    alarm_lines=self._alarm_lines,
-                    engine_state=self.engine.snapshot_state(),
-                    alarm_bytes=self._alarm_bytes,
-                )
-                self._boundaries_since_full = 0
-                self._chain_started = True
-                self.fulls_written += 1
-                if self._m_fulls is not None:
-                    self._m_fulls.inc()
-            else:
-                kind = "delta"
-                delta = {
-                    "offset": self.engine.offset,
-                    "byte_offset": tailer.byte_offset,
-                    "alarm_lines": self._alarm_lines,
-                    "alarm_bytes": self._alarm_bytes,
-                    "delta": self.engine.delta_state(),
-                }
-                self._boundaries_since_full += 1
-                self.deltas_written += 1
-                if self._m_deltas is not None:
-                    self._m_deltas.inc()
-            self.engine.mark_clean()
-            self.checkpoints_written += 1
-            if self._m_checkpoints is not None:
-                self._m_checkpoints.inc()
+        if kind == "full":
+            assert state is not None
+            checkpoint = Checkpoint(
+                offset=records,
+                byte_offset=byte_offset,
+                alarm_lines=self._alarm_lines,
+                engine_state=state,
+                alarm_bytes=self._alarm_bytes,
+            )
+        elif kind == "delta":
+            delta = {
+                "offset": records,
+                "byte_offset": byte_offset,
+                "alarm_lines": self._alarm_lines,
+                "alarm_bytes": self._alarm_bytes,
+                "delta": state,
+            }
         job: Optional["IndexJob"] = None
         if self._builder is not None:
             job = self._builder.prepare_boundary(
-                {
-                    "records": self.engine.offset,
-                    "alarm_bytes": self._alarm_bytes,
-                    "feed_bytes": tailer.byte_offset,
-                },
+                {"records": records, "alarm_bytes": self._alarm_bytes, **cursor},
                 pending,
             )
         task: _WriterTask = (pending, kind, checkpoint, delta, job)
@@ -653,8 +810,9 @@ class StreamService:
         """The run's single manifest line (timing under quarantined keys)."""
         base_spec: Dict[str, Any] = {
             "kind": "stream",
-            "feed": str(self.feed_path),
-            "window": self.engine.window,
+            "feeds": [str(path) for path in self.feed_paths],
+            "shards": self.shards,
+            "window": self.window,
             "batch_size": self.batch_size,
             "checkpoint_every": self.checkpoint_every,
             "full_every": self.full_every,

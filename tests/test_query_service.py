@@ -26,7 +26,6 @@ from repro.query import QueryIndex, answers_doc, build_index, canonical_json, sc
 from repro.query.segments import load_manifest
 from repro.stream.checkpoint import load_checkpoint
 from repro.stream.feed import FeedWriter, snapshot_deltas
-from repro.stream.router import FeedRouter
 from repro.stream.service import StreamService
 
 TRACE_CONFIG = TraceConfig(
@@ -160,7 +159,7 @@ class TestServiceIndex:
 class TestRouterIndex:
     def test_router_index_matches_scan(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, tmp_path / "cp.json",
             shards=2, checkpoint_every=400, index=tmp_path / "idx",
         ).run()
@@ -171,11 +170,11 @@ class TestRouterIndex:
     def test_router_interrupt_resume_catches_up(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, cp, shards=2, checkpoint_every=400,
             max_records=1500, index=tmp_path / "idx",
         ).run()
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, cp, shards=2, checkpoint_every=400,
             index=tmp_path / "idx",
         ).run(resume=True)
@@ -189,7 +188,7 @@ class TestRouterIndex:
         write_trace_feed(feed_a, seed=7)
         write_trace_feed(feed_b, seed=8)
         alarms = tmp_path / "alarms.log"
-        FeedRouter(
+        StreamService(
             [feed_a, feed_b], alarms, tmp_path / "cp.json",
             shards=2, checkpoint_every=500, index=tmp_path / "idx",
         ).run()
@@ -264,7 +263,7 @@ class TestSummaryParity:
     def test_router_summary_matches_single_engine(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
         single = StreamService(trace_feed, alarms, None).run()
-        routed = FeedRouter(
+        routed = StreamService(
             [trace_feed], tmp_path / "alarms2.log", None, shards=2
         ).run()
         assert routed.alarm_totals == single.alarm_totals

@@ -267,7 +267,9 @@ class TestChainWriter:
     def test_compaction_resets_the_delta_file(self, tmp_path):
         path = tmp_path / "cp.json"
         writer = ChainWriter(path, full_every=2)
+        assert writer.plan() == "full"
         writer.write_full(make_checkpoint(1))
+        assert writer.plan() == "delta"
         writer.append_delta(
             offset=2, byte_offset=20, alarm_lines=0, alarm_bytes=0,
             delta={"window": 30.0, "offset": 2, "moas_active": 0,

@@ -7,8 +7,9 @@ log truncation — and proves the service either replays cleanly to a
 bit-identical alarm log or refuses with :class:`CheckpointError`.  Never a
 silent divergence.
 
-In-process cases drive the synchronous writer (``async_io=False``) with a
-raising hook; subprocess cases use ``REPRO_STREAM_FAULT`` to hard-exit the
+Both matrices run on the single-engine path and on the 2-shard routed
+path, which share one durability path.  In-process cases drive the
+synchronous writer (``async_io=False``) with a raising hook; subprocess cases use ``REPRO_STREAM_FAULT`` to hard-exit the
 real CLI process (``os._exit``, no flushing, no handlers) and then resume.
 """
 
@@ -54,6 +55,20 @@ RUN_FAULT_MATRIX = [
 RESUME_FAULT_MATRIX = [("truncate-pre", 1), ("truncate-post", 1)]
 
 
+def over_shards(matrix):
+    """Each fault point on the single-engine path and on the 2-shard
+    routed path (ids suffixed ``-shards2``): both share one durability
+    path, so every point must hold on both."""
+    return [
+        pytest.param(
+            point, nth, shards,
+            id=f"{point}-{nth}" + ("" if shards == 1 else f"-shards{shards}"),
+        )
+        for shards in (1, 2)
+        for point, nth in matrix
+    ]
+
+
 class InjectedCrash(BaseException):
     """Deliberately not an Exception: nothing may swallow a crash."""
 
@@ -90,74 +105,97 @@ def trace_feed(tmp_path_factory):
     return feed, expected.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def expected_logs(trace_feed):
+    """The uninterrupted alarm log per shard count."""
+    feed, single = trace_feed
+    sharded = feed.parent / "alarms_shards2.jsonl"
+    StreamService(
+        feed, sharded, feed.parent / "cp_shards2.json", shards=2,
+        **SERVICE_KWARGS,
+    ).run()
+    return {1: single, 2: sharded.read_bytes()}
+
+
 class TestRunFaultMatrix:
-    @pytest.mark.parametrize("point,nth", RUN_FAULT_MATRIX)
+    @pytest.mark.parametrize("point,nth,shards", over_shards(RUN_FAULT_MATRIX))
     def test_crash_then_resume_is_bit_identical(
-        self, tmp_path, trace_feed, point, nth
+        self, tmp_path, trace_feed, expected_logs, point, nth, shards
     ):
-        feed, expected = trace_feed
+        feed, _ = trace_feed
+        expected = expected_logs[shards]
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
         crashed = StreamService(
-            feed, alarms, cp, fault=raising_hook(point, nth), **SERVICE_KWARGS
+            feed, alarms, cp, shards=shards, fault=raising_hook(point, nth),
+            **SERVICE_KWARGS,
         )
         with pytest.raises(InjectedCrash):
             crashed.run()
         # The crash left a loadable chain (possibly older than the crash
         # point, never diverged); resume finishes the stream exactly.
-        resumed = StreamService(feed, alarms, cp, **SERVICE_KWARGS)
+        resumed = StreamService(
+            feed, alarms, cp, shards=shards, **SERVICE_KWARGS
+        )
         summary = resumed.run(resume=True)
         assert summary.eof is True
         assert alarms.read_bytes() == expected
         # The resumed run swept any temp file the crash stranded.
         assert list(tmp_path.glob("*.tmp")) == []
 
-    @pytest.mark.parametrize("point,nth", RUN_FAULT_MATRIX)
-    def test_double_crash_then_resume(self, tmp_path, trace_feed, point, nth):
-        feed, expected = trace_feed
+    @pytest.mark.parametrize("point,nth,shards", over_shards(RUN_FAULT_MATRIX))
+    def test_double_crash_then_resume(
+        self, tmp_path, trace_feed, expected_logs, point, nth, shards
+    ):
+        feed, _ = trace_feed
+        expected = expected_logs[shards]
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
         with pytest.raises(InjectedCrash):
             StreamService(
-                feed, alarms, cp, fault=raising_hook(point, nth),
-                **SERVICE_KWARGS,
+                feed, alarms, cp, shards=shards,
+                fault=raising_hook(point, nth), **SERVICE_KWARGS,
             ).run()
         with pytest.raises(InjectedCrash):
             StreamService(
-                feed, alarms, cp, fault=raising_hook(point, nth),
-                **SERVICE_KWARGS,
+                feed, alarms, cp, shards=shards,
+                fault=raising_hook(point, nth), **SERVICE_KWARGS,
             ).run(resume=True)
-        summary = StreamService(feed, alarms, cp, **SERVICE_KWARGS).run(
-            resume=True
-        )
+        summary = StreamService(
+            feed, alarms, cp, shards=shards, **SERVICE_KWARGS
+        ).run(resume=True)
         assert summary.eof is True
         assert alarms.read_bytes() == expected
 
 
 class TestResumeFaultMatrix:
-    @pytest.mark.parametrize("point,nth", RESUME_FAULT_MATRIX)
+    @pytest.mark.parametrize(
+        "point,nth,shards", over_shards(RESUME_FAULT_MATRIX)
+    )
     def test_crash_during_resume_truncation(
-        self, tmp_path, trace_feed, point, nth
+        self, tmp_path, trace_feed, expected_logs, point, nth, shards
     ):
-        feed, expected = trace_feed
+        feed, _ = trace_feed
+        expected = expected_logs[shards]
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
         StreamService(
-            feed, alarms, cp, max_records=2000, **SERVICE_KWARGS
+            feed, alarms, cp, shards=shards, max_records=2000,
+            **SERVICE_KWARGS,
         ).run()
         # Orphan bytes past the checkpoint: flushed but never accounted.
         with alarms.open("a") as handle:
             handle.write('{"orphan": "line"}\n')
         with pytest.raises(InjectedCrash):
             StreamService(
-                feed, alarms, cp, fault=raising_hook(point, nth),
-                **SERVICE_KWARGS,
+                feed, alarms, cp, shards=shards,
+                fault=raising_hook(point, nth), **SERVICE_KWARGS,
             ).run(resume=True)
         # The truncation is one atomic syscall: dying right before or right
         # after it leaves a log a second resume still rolls back exactly.
-        summary = StreamService(feed, alarms, cp, **SERVICE_KWARGS).run(
-            resume=True
-        )
+        summary = StreamService(
+            feed, alarms, cp, shards=shards, **SERVICE_KWARGS
+        ).run(resume=True)
         assert summary.eof is True
         assert alarms.read_bytes() == expected
 
@@ -241,6 +279,20 @@ class TestSubprocessCrash:
         assert done.returncode == 0, done.stderr
         assert alarms.read_bytes() == expected
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_sharded_hard_exit_then_resume(
+        self, tmp_path, trace_feed, expected_logs
+    ):
+        feed, _ = trace_feed
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        crashed = self.run_cli(
+            feed, alarms, cp, "--shards", "2", env_fault="delta-mid-append:2"
+        )
+        assert crashed.returncode == FAULT_EXIT_CODE, crashed.stderr
+        done = self.run_cli(feed, alarms, cp, "--shards", "2", "--resume")
+        assert done.returncode == 0, done.stderr
+        assert alarms.read_bytes() == expected_logs[2]
 
     def test_hard_exit_during_resume_truncation(self, tmp_path, trace_feed):
         feed, expected = trace_feed

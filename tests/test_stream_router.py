@@ -1,4 +1,4 @@
-"""Tests for the sharded feed router.
+"""Tests for sharded ingest (``StreamService`` with ``shards > 1``).
 
 Load-bearing properties: sharded detection agrees with a single engine
 (daily MOAS counts sum across shards, alarms are the same set — the
@@ -24,7 +24,6 @@ from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import FeedWriter, read_feed, snapshot_deltas
 from repro.stream.router import (
-    FeedRouter,
     RouterError,
     merged_daily_counts,
     route_line,
@@ -65,10 +64,10 @@ class TestRouting:
         assert set(first) == {0, 1, 2, 3}  # every shard gets work
 
     def test_invalid_configuration_rejected(self, tmp_path):
-        with pytest.raises(RouterError, match="at least one feed"):
-            FeedRouter([], tmp_path / "a.jsonl")
-        with pytest.raises(RouterError, match="shards"):
-            FeedRouter([tmp_path / "f"], tmp_path / "a.jsonl", shards=0)
+        with pytest.raises(ValueError, match="at least one feed"):
+            StreamService([], tmp_path / "a.jsonl")
+        with pytest.raises(ValueError, match="shards"):
+            StreamService([tmp_path / "f"], tmp_path / "a.jsonl", shards=0)
 
 
 class TestShardedParity:
@@ -80,7 +79,7 @@ class TestShardedParity:
             feed, single_alarms, tmp_path / "single_cp.json"
         )
         single_summary = single.run()
-        router = FeedRouter(
+        router = StreamService(
             [feed],
             tmp_path / "sharded.jsonl",
             tmp_path / "cp.json",
@@ -114,7 +113,7 @@ class TestShardedParity:
         logs = {}
         for shards in (2, 4):
             alarms = tmp_path / f"alarms_{shards}.jsonl"
-            FeedRouter(
+            StreamService(
                 [feed], alarms, tmp_path / f"cp_{shards}.json", shards=shards
             ).run()
             logs[shards] = sorted(alarms.read_text().splitlines())
@@ -151,7 +150,7 @@ class TestShardedParity:
                             a.to_json_line() for a in engine.apply(record)
                         )
             engine.apply(by_day_a[day][-1])  # the day's tick, once
-        router = FeedRouter(
+        router = StreamService(
             [feed_a, feed_b],
             tmp_path / "alarms.jsonl",
             tmp_path / "cp.json",
@@ -182,7 +181,7 @@ class TestShardedParity:
         with FeedWriter(feed_b) as writer:
             writer.write_all(records)
         with pytest.raises(RouterError, match="disagree"):
-            FeedRouter(
+            StreamService(
                 [feed_a, feed_b], tmp_path / "alarms.jsonl", shards=2
             ).run()
 
@@ -192,7 +191,7 @@ class TestShardedResume:
         feed = tmp_path / "feed.jsonl"
         write_trace_feed(feed)
         alarms = tmp_path / "alarms_full.jsonl"
-        FeedRouter(
+        StreamService(
             [feed], alarms, tmp_path / "cp_full.json", shards=shards,
             checkpoint_every=300,
         ).run()
@@ -202,12 +201,12 @@ class TestShardedResume:
         feed, expected = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        interrupted = FeedRouter(
+        interrupted = StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1500,
         ).run()
         assert interrupted.stopped is True
-        resumed = FeedRouter(
+        resumed = StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300
         ).run(resume=True)
         assert resumed.eof is True
@@ -217,15 +216,15 @@ class TestShardedResume:
         feed, expected = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1000,
         ).run()
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1000,
         ).run(resume=True)
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300
         ).run(resume=True)
         assert alarms.read_bytes() == expected
@@ -234,13 +233,13 @@ class TestShardedResume:
         feed, expected = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1500,
         ).run()
         with alarms.open("a") as handle:
             handle.write('{"orphan": "line"}\n')
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300
         ).run(resume=True)
         assert alarms.read_bytes() == expected
@@ -249,11 +248,11 @@ class TestShardedResume:
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, max_records=1500
         ).run()
         with pytest.raises(CheckpointError, match="2 shards"):
-            FeedRouter([feed], alarms, cp, shards=3).run(resume=True)
+            StreamService([feed], alarms, cp, shards=3).run(resume=True)
 
     def test_single_engine_checkpoint_refused(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
@@ -262,17 +261,27 @@ class TestShardedResume:
         cp = tmp_path / "cp.json"
         StreamService(feed, alarms, cp, max_records=1500).run()
         with pytest.raises(CheckpointError, match="single-engine"):
-            FeedRouter([feed], alarms, cp, shards=2).run(resume=True)
+            StreamService([feed], alarms, cp, shards=2).run(resume=True)
+
+    def test_composite_checkpoint_refused_by_single_engine(self, tmp_path):
+        feed, _ = self._expected(tmp_path)
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        StreamService(
+            [feed], alarms, cp, shards=2, max_records=1500
+        ).run()
+        with pytest.raises(CheckpointError, match="composite"):
+            StreamService(feed, alarms, cp).run(resume=True)
 
     def test_feed_count_mismatch_refused(self, tmp_path):
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        StreamService(
             [feed], alarms, cp, shards=2, max_records=1500
         ).run()
         with pytest.raises(CheckpointError, match="feeds"):
-            FeedRouter(
+            StreamService(
                 [feed, feed], alarms, cp, shards=2
             ).run(resume=True)
 
@@ -282,7 +291,7 @@ class TestRouterCli:
         feed = tmp_path / "feed.jsonl"
         write_trace_feed(feed)
         expected = tmp_path / "alarms_full.jsonl"
-        FeedRouter(
+        StreamService(
             [feed], expected, tmp_path / "cp_full.json", shards=2,
             checkpoint_every=300,
         ).run()
@@ -317,6 +326,28 @@ class TestRouterCli:
         assert alarms.read_bytes() == expected.read_bytes()
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_resume_without_shards_fails_cleanly(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        write_trace_feed(feed)
+        env = dict(os.environ, PYTHONPATH="src")
+        cmd = [
+            sys.executable, "-m", "repro", "stream", "run", str(feed),
+            "--alarms", str(tmp_path / "alarms.jsonl"),
+            "--checkpoint", str(tmp_path / "cp.json"),
+        ]
+        first = subprocess.run(
+            cmd + ["--shards", "2", "--max-records", "1500"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert first.returncode == 0, first.stderr
+        resumed = subprocess.run(
+            cmd + ["--resume"], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert resumed.returncode == 1
+        assert "stream run failed:" in resumed.stderr
+        assert "Traceback" not in resumed.stderr
+
     def test_follow_with_shards_rejected(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
         feed.write_text("")
@@ -331,3 +362,39 @@ class TestRouterCli:
         )
         assert proc.returncode == 2
         assert "not supported" in proc.stderr
+
+
+class TestOneDurabilityPath:
+    """Both sources share the service's boundaries and summary meaning."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_chainless_run_flushes_alarms_before_eof(self, tmp_path, shards):
+        feed = tmp_path / "feed.jsonl"
+        write_trace_feed(feed)
+        alarms = tmp_path / "alarms.jsonl"
+        sizes = []
+        points = []
+        summary = StreamService(
+            [feed], alarms, None, shards=shards, checkpoint_every=300,
+            throttle=1e-9, sleeper=lambda _s: sizes.append(alarms.stat().st_size),
+            async_io=False, fault=points.append,
+        ).run()
+        final = alarms.stat().st_size
+        assert summary.eof is True and final > 0
+        # Lines became durable at a boundary during the run (the sleeper
+        # runs between boundaries), not in one dump at EOF, and through
+        # the fault-hooked write.
+        assert max(sizes) > 0
+        assert sizes == sorted(sizes)
+        assert "alarm-pre-append" in points
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stopped_means_ended_before_eof(self, tmp_path, shards):
+        feed = tmp_path / "feed.jsonl"
+        write_trace_feed(feed)
+        capped = StreamService(
+            [feed], tmp_path / "a.jsonl", shards=shards, max_records=500
+        ).run()
+        assert capped.stopped is True and capped.eof is False
+        full = StreamService([feed], tmp_path / "b.jsonl", shards=shards).run()
+        assert full.stopped is False and full.eof is True
